@@ -61,6 +61,10 @@ echo "== reshard determinism: live split mid-run, audit clean, twice =="
 python scripts/check_reshard_determinism.py
 
 echo
+echo "== perfbench contract: imports, identical virtual metrics, traced self times =="
+python -m pytest -q perfbench/tests
+
+echo
 echo "== perf smoke: write-path throughput vs recorded baseline =="
 # Opt-in (wall-clock timing is meaningless on loaded CI hosts): export
 # PERF_SMOKE=1 to fail the gate when fillrandom throughput drops >30%

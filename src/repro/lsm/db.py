@@ -1544,7 +1544,9 @@ class DB:
         cache_put = self._cache_put
         page_get = self._page_get
         page_put = self._page_put
-        for level in range(version.num_levels):
+        for level, files in enumerate(version.levels):
+            if not files:
+                continue
             for meta in version.files_for_key(level, key):
                 reader, cached = table_cache_get(meta.file_number)
                 if not cached:

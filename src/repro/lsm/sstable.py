@@ -487,12 +487,18 @@ class SSTableReader:
                 file.read(filter_off, filter_sz), verify_checksum=verify_checksums
             )
             self._bloom = BloomFilter.from_bytes(bloom_payload, bloom_bits)
-        # offset -> (payload, decoded entries). Serving a repeat lookup
-        # from here skips decode_block's per-entry varint parsing; the
-        # stored payload is compared against the bytes the modeled path
-        # produced so cache/page bookkeeping and corruption detection
-        # behave exactly as without the memo.
-        self._decoded: dict[int, tuple[bytes, list[tuple[bytes, bytes]]]] = {}
+        # offset -> (envelope, payload, decoded entries). A repeat lookup
+        # whose stored envelope (page cache or device) equals the memo's
+        # skips decompress_block and decode_block: decompress_block is a
+        # pure function of the envelope bytes and self._verify, so equal
+        # bytes give the same payload and the same checksum verdict,
+        # while any corruption changes the bytes and takes the full
+        # path. A block-cache hit is compared on the payload instead.
+        # Envelope is None for entries decoded from a block-cache hit.
+        # Cache/page bookkeeping is the same with or without the memo.
+        self._decoded: dict[
+            int, tuple[bytes | None, bytes, list[tuple[bytes, bytes]]]
+        ] = {}
 
     @property
     def num_blocks(self) -> int:
@@ -521,7 +527,13 @@ class SSTableReader:
         stats: ReadStats,
         page_get: CacheGet | None = None,
         page_put: CachePut | None = None,
+        remember: bool = True,
     ) -> list[tuple[bytes, bytes]]:
+        """One data block's entries, with its read recorded in ``stats``.
+
+        ``remember=False`` reads through the memo without filling it
+        (bulk reads of tables about to be deleted).
+        """
         _last, off, sz = self._index[idx]
         cache_key = (self.file_number, off)
         memo = self._decoded.get(off)
@@ -529,10 +541,11 @@ class SSTableReader:
             cached = cache_get(cache_key)
             if cached is not None:
                 stats.block_reads.append((sz, "cache"))
-                if memo is not None and (cached is memo[0] or cached == memo[0]):
-                    return memo[1]
+                if memo is not None and (cached is memo[1] or cached == memo[1]):
+                    return memo[2]
                 entries = decode_block(cached)
-                self._remember(off, cached, entries)
+                if remember:
+                    self._remember(off, None, cached, entries)
                 return entries
         source = "device"
         envelope: bytes | None = None
@@ -545,26 +558,34 @@ class SSTableReader:
             envelope = self._file.read(off, sz)
             if page_put is not None:
                 page_put(cache_key, envelope, len(envelope))
-        payload = decompress_block(envelope, verify_checksum=self._verify)
-        if memo is not None and payload == memo[0]:
-            entries = memo[1]
+        if memo is not None and (envelope is memo[0] or envelope == memo[0]):
+            payload, entries = memo[1], memo[2]
         else:
-            entries = decode_block(payload)
-            self._remember(off, payload, entries)
+            payload = decompress_block(envelope, verify_checksum=self._verify)
+            if memo is not None and payload == memo[1]:
+                entries = memo[2]
+            else:
+                entries = decode_block(payload)
+            if remember:
+                self._remember(off, envelope, payload, entries)
         stats.block_reads.append((sz, source))
         if cache_put is not None:
             cache_put(cache_key, payload, len(payload))
         return entries
 
     def _remember(
-        self, off: int, payload: bytes, entries: list[tuple[bytes, bytes]]
+        self,
+        off: int,
+        envelope: bytes | None,
+        payload: bytes,
+        entries: list[tuple[bytes, bytes]],
     ) -> None:
         decoded = self._decoded
-        if len(decoded) >= _DECODED_CACHE_BLOCKS:
+        if off not in decoded and len(decoded) >= _DECODED_CACHE_BLOCKS:
             # Cheap bounded eviction (FIFO-ish); correctness never
             # depends on what gets dropped.
             decoded.pop(next(iter(decoded)))
-        decoded[off] = (payload, entries)
+        decoded[off] = (envelope, payload, entries)
 
     def get(
         self,
@@ -677,12 +698,16 @@ class SSTableReader:
         per-entry work — the compaction merge consumes it directly and
         re-emits the packed value verbatim, skipping the kind decode /
         value slice / re-concat of the tuple path. Read accounting
-        matches :meth:`iter_entries` exactly.
+        matches :meth:`iter_entries` exactly. It does not fill the
+        decoded-block memo: a compaction input is read once and then
+        deleted, so memoizing its blocks would only hold memory.
         """
         local = stats if stats is not None else ReadStats()
         out: list[tuple[bytes, bytes]] = []
         for idx in range(len(self._index)):
-            out += self._read_block(idx, cache_get, cache_put, local)
+            out += self._read_block(
+                idx, cache_get, cache_put, local, remember=False
+            )
         return out
 
     def iter_from(

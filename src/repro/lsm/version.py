@@ -21,8 +21,14 @@ class Version:
     num_levels: int
     levels: list[list[FileMetaData]] = field(default_factory=list)
     #: Monotonic mutation counter; bumps whenever the file set changes so
-    #: derived quantities (pending compaction debt) can be memoized.
+    #: derived quantities (pending compaction debt, fences) can be memoized.
     stamp: int = 0
+    #: (stamp, per-level ``largest_key`` lists) memo: the binary-search
+    #: fences of :meth:`files_for_key` and :meth:`files_from`, rebuilt on
+    #: the first query after a mutation instead of on every query.
+    _fences: tuple[int, list[list[bytes]]] = field(
+        default=(-1, []), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.num_levels < 2:
@@ -121,8 +127,7 @@ class Version:
                 f for f in reversed(files)
                 if f.smallest_key <= user_key <= f.largest_key
             ]
-        keys = [f.largest_key for f in files]
-        idx = bisect.bisect_left(keys, user_key)
+        idx = bisect.bisect_left(self._fence(level), user_key)
         if idx < len(files) and files[idx].smallest_key <= user_key:
             return [files[idx]]
         return []
@@ -143,8 +148,15 @@ class Version:
         files = self.levels[level]
         if start is None or not files:
             return files
-        keys = [f.largest_key for f in files]
-        return files[bisect.bisect_left(keys, start):]
+        return files[bisect.bisect_left(self._fence(level), start):]
+
+    def _fence(self, level: int) -> list[bytes]:
+        """``largest_key`` of each file at ``level``, memoized on stamp."""
+        stamp, fences = self._fences
+        if stamp != self.stamp:
+            fences = [[f.largest_key for f in files] for files in self.levels]
+            self._fences = (self.stamp, fences)
+        return fences[level]
 
     def overlapping_files(
         self, level: int, lo: bytes | None, hi: bytes | None

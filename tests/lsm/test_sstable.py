@@ -338,3 +338,105 @@ class TestPackedPath:
     def _pack(entry):
         key, kind, value = entry
         return key, bytes([kind.value]) + value
+
+
+class TestDecodedBlockMemo:
+    """The reader's decoded-block memo is checked against the stored
+    envelope bytes: a byte-identical re-read skips the codec, anything
+    else (corruption included) takes the full decompress path."""
+
+    @staticmethod
+    def _outcome(reader):
+        try:
+            return list(reader.iter_entries())
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    @pytest.mark.parametrize("where", ["codec", "crc", "body"])
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_corruption_after_memoization(self, compression, where, verify):
+        fs = MemFileSystem()
+        build_table(fs, keys=100, compression=compression, block_size=256)
+        path = "/db/000001.sst"
+        reader = SSTableReader(fs.open_random(path), 1, verify_checksums=verify)
+        found, _, _, _ = reader.get(b"key-000000")  # memoizes block 0
+        assert found
+        _last, off, size = reader._index[0]
+        pos = off + {"codec": 0, "crc": 2, "body": size // 2}[where]
+        fs.corrupt(path, pos, fs.read_all(path)[pos] ^ 0xFF)
+        if verify:
+            with pytest.raises(CorruptionError):
+                reader.get(b"key-000000")
+        fresh = SSTableReader(fs.open_random(path), 1, verify_checksums=verify)
+        assert self._outcome(reader) == self._outcome(fresh)
+
+    @pytest.fixture
+    def decompress_calls(self, monkeypatch):
+        """Envelopes passed to ``decompress_block`` by the reader."""
+        import repro.lsm.sstable as sstable_mod
+
+        calls = []
+        real = sstable_mod.decompress_block
+
+        def counting(envelope, **kwargs):
+            calls.append(envelope)
+            return real(envelope, **kwargs)
+
+        monkeypatch.setattr(sstable_mod, "decompress_block", counting)
+        return calls
+
+    def test_identical_reread_skips_codec_keeps_bookkeeping(
+        self, decompress_calls
+    ):
+        fs = MemFileSystem()
+        build_table(fs, keys=100, compression="zlib", block_size=256)
+        reader = open_reader(fs)
+        calls = decompress_calls
+        calls.clear()  # the index block, decompressed at open
+
+        def read_once():
+            cache_puts, page_puts = [], []
+            _, _, value, stats = reader.get(
+                b"key-000050",
+                cache_get=lambda key: None,  # a cache too small to hit
+                cache_put=lambda *a: cache_puts.append(a),
+                page_get=lambda key: None,
+                page_put=lambda *a: page_puts.append(a),
+            )
+            return value, stats.block_reads, cache_puts, page_puts
+
+        first = read_once()
+        assert len(calls) == 1
+        second = read_once()
+        assert len(calls) == 1  # no decompress on the byte-identical re-read
+        assert second == first
+        assert second[1][0][1] == "device"
+        assert second[2][0][1] is first[2][0][1]  # same payload object
+
+    def test_page_cache_hit_skips_codec(self, decompress_calls):
+        fs = MemFileSystem()
+        build_table(fs, keys=100, compression="zlib", block_size=256)
+        reader = open_reader(fs)
+        calls = decompress_calls
+        calls.clear()  # the index block, decompressed at open
+        pages = {}
+        hooks = dict(page_get=pages.get,
+                     page_put=lambda key, env, charge: pages.update({key: env}))
+        _, _, v1, s1 = reader.get(b"key-000050", **hooks)
+        _, _, v2, s2 = reader.get(b"key-000050", **hooks)
+        assert v1 == v2 == b"val-50"
+        assert len(calls) == 1
+        assert [src for _, src in s1.block_reads] == ["device"]
+        assert s2.block_reads == [(s1.block_reads[0][0], "page")]
+
+    def test_read_packed_does_not_fill_memo(self):
+        fs = MemFileSystem()
+        build_table(fs, keys=200, compression="zlib", block_size=256)
+        reader = open_reader(fs)
+        assert reader.num_blocks > 1
+        packed = reader.read_packed()
+        assert len(packed) == 200
+        assert reader._decoded == {}
+        reader.get(b"key-000000")
+        assert len(reader._decoded) == 1

@@ -1,6 +1,8 @@
 """Tests for the Version (level structure)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DBError
 from repro.lsm.sstable import FileMetaData
@@ -171,3 +173,55 @@ class TestStamp:
         with _pytest.raises(DBError):
             v.remove_file(0, 999)
         assert v.stamp == before
+
+
+_KEYS = [b"%02d" % i for i in range(30)]
+_ops = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 2), st.integers(0, 29),
+              st.integers(0, 29)),
+    st.tuples(st.just("front"), st.integers(0, 29), st.integers(0, 29)),
+    st.tuples(st.just("remove"), st.integers(0, 40)),
+)
+
+
+class TestFenceMemo:
+    """``files_for_key``/``files_from`` binary-search fences memoized on
+    ``stamp`` must match a brute-force scan after every mutation."""
+
+    @staticmethod
+    def _check(v):
+        for level, files in enumerate(v.levels):
+            for key in _KEYS + [b"", b"99"]:
+                brute = [f for f in files if f.smallest_key <= key <= f.largest_key]
+                if level == 0:
+                    brute.reverse()
+                else:
+                    assert v.files_from(level, key) == [
+                        f for f in files if f.largest_key >= key
+                    ]
+                assert v.files_for_key(level, key) == brute
+
+    @given(st.lists(_ops, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_after_every_step(self, ops):
+        v = Version(num_levels=3)
+        number = 0
+        self._check(v)
+        for op in ops:
+            number += 1
+            if op[0] == "add":
+                _, level, a, b = op
+                lo, hi = sorted((_KEYS[a], _KEYS[b]))
+                try:
+                    v.add_file(level, meta(number, lo, hi))
+                except DBError:
+                    pass  # overlap at L1+: rejected, file set unchanged
+            elif op[0] == "front":
+                lo, hi = sorted((_KEYS[op[1]], _KEYS[op[2]]))
+                v.add_file_l0_front(meta(number, lo, hi))
+            else:
+                every = v.all_files()
+                if every:
+                    victim = every[op[1] % len(every)]
+                    v.remove_file(victim.level, victim.file_number)
+            self._check(v)
